@@ -49,6 +49,9 @@ struct GridRun {
     lockstep_stage_ms: f64,
     lockstep_batch_css_ms: f64,
     lockstep_tell_ms: f64,
+    /// Worker-summed fit time over (evaluation wall × threads): the share
+    /// of the pool that spent the pass fitting.
+    parallel_eff: f64,
 }
 
 /// The `--grid auto-order` measurement: the ACF/PACF-seeded grid against
@@ -101,6 +104,8 @@ struct AutoModeRun {
     lockstep_batch_css_ms: f64,
     lockstep_batch_ets_ms: f64,
     lockstep_batch_tbats_ms: f64,
+    /// Worker-summed fit time over (evaluation wall × threads).
+    parallel_eff: f64,
 }
 
 #[derive(Debug, Clone, Serialize)]
@@ -148,6 +153,23 @@ fn opts(threads: usize, accelerated: bool) -> EvaluationOptions {
     }
 }
 
+/// Σ family `fit_time` / (evaluation wall × threads), all from the same
+/// report: how much of the pool the pass kept busy fitting.
+fn parallel_eff(report: &EvaluationReport, threads: usize) -> f64 {
+    let fit: f64 = report
+        .stats
+        .families
+        .iter()
+        .map(|f| f.fit_time.as_secs_f64())
+        .sum();
+    let wall = report.stats.wall_time.as_secs_f64() * threads as f64;
+    if wall > 0.0 {
+        fit / wall
+    } else {
+        0.0
+    }
+}
+
 fn champion_label(report: &EvaluationReport) -> (String, f64) {
     match report.champion() {
         Some(c) => (c.candidate.config.describe(), c.accuracy.rmse),
@@ -191,9 +213,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
             let report = last.expect("at least one rep");
             let (champion, champion_rmse) = champion_label(&report);
+            let eff = parallel_eff(&report, threads);
             println!(
                 "  {mode:<12} {threads}t  {best_ms:>8.1} ms   champion {champion}  \
-                 (cache hits {}, warm starts {}, {} objective evals)",
+                 (cache hits {}, warm starts {}, {} objective evals, parallel eff {eff:.2})",
                 report.stats.cache_hits, report.stats.warm_starts, report.stats.objective_evals
             );
             let ls = &report.stats.lockstep;
@@ -232,6 +255,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 lockstep_stage_ms: ls.stage.as_secs_f64() * 1e3,
                 lockstep_batch_css_ms: ls.batch_css.as_secs_f64() * 1e3,
                 lockstep_tell_ms: ls.tell.as_secs_f64() * 1e3,
+                parallel_eff: eff,
             });
         }
     }
@@ -347,9 +371,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 .map(|f| format!("{} {:.0} ms", f.family, f.fit_time_ms))
                 .collect::<Vec<_>>()
                 .join(", ");
+            let eff = parallel_eff(&report, threads);
             println!(
                 "  {mode:<12} {threads}t  {best_ms:>8.1} ms   champion {champion}  \
-                 [{family_line}]"
+                 [{family_line}], parallel eff {eff:.2}"
             );
             if ls.batched_evals > 0 {
                 println!(
@@ -379,6 +404,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 lockstep_batch_css_ms: ls.batch_css.as_secs_f64() * 1e3,
                 lockstep_batch_ets_ms: ls.batch_ets.as_secs_f64() * 1e3,
                 lockstep_batch_tbats_ms: ls.batch_tbats.as_secs_f64() * 1e3,
+                parallel_eff: eff,
             });
         }
     }

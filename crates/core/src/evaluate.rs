@@ -168,8 +168,10 @@ pub struct FamilyStats {
 }
 
 /// Where lockstep (batched-kernel) evaluation time goes, summed over
-/// workers. All-zero when no batched units ran (racing mode, cache off,
-/// non-ARIMA grids).
+/// workers. All-zero when no batched units ran (racing mode, the cache
+/// layer off, or no group of two batchable chains); a family's kernel
+/// bucket stays zero unless that family staged a point, so an ETS-only
+/// grid reports no CSS or TBATS time.
 #[derive(Debug, Clone, Default)]
 pub struct LockstepStats {
     /// Batched kernel rounds executed.
@@ -439,7 +441,8 @@ enum WorkUnit {
     /// against its own series (the batched kernels take per-candidate
     /// series, so one group spans every differencing signature and every
     /// family — the wider the group, the longer the lockstep stays at
-    /// full batch width as chains drain unevenly).
+    /// full batch width as chains drain unevenly). A task contributes
+    /// one such group per worker it can claim (see [`build_units`]).
     Batched(Vec<usize>),
 }
 
@@ -476,18 +479,28 @@ fn chain_batch_kind(task: &EvalTask, chain: &Chain) -> Option<BatchKind> {
     }
 }
 
-/// Partition a task's chains into work units. A chain joins the batched
+/// Partition a task's chains into work units. A chain joins a batched
 /// group only in exact mode (racing loads the shared incumbent mid-fit;
 /// interleaving fits would reorder those loads) and only when its shared
 /// per-task transforms are available: a plain ARIMA-family chain needs its
 /// differenced series in the transform cache, and ETS/TBATS chains batch
 /// whenever the cache layer is enabled at all (the same ablation flag
-/// governs both); the group needs at least two chains to be worth a
-/// lockstep pass.
+/// governs both).
+///
+/// The batchable chains are dealt round-robin, in chain order, into
+/// `groups` lockstep groups (capped at the batchable-chain count). One
+/// group per task would leave a single worker draining every batched fit
+/// of a single-grid run while the rest of the pool idles; the caller
+/// passes the task's share of the pool instead, which is 1 whenever the
+/// batch has at least as many tasks as workers. A group needs at least
+/// two chains to be worth a lockstep pass; a lone chain runs singly. Every
+/// chain threads its own warm start and batched kernels are bit-identical
+/// to their solo paths, so the grouping changes wall time, never results.
 fn build_units(
     task: &EvalTask,
     cache: &BTreeMap<DiffKey, Differenced>,
     chains: &[Chain],
+    groups: usize,
 ) -> Vec<WorkUnit> {
     let mut units = Vec::new();
     let mut batchable: Vec<usize> = Vec::new();
@@ -504,12 +517,23 @@ fn build_units(
             None => units.push(WorkUnit::Single(ci)),
         }
     }
-    if batchable.len() > 1 {
-        units.push(WorkUnit::Batched(batchable));
-    } else {
-        units.extend(batchable.into_iter().map(WorkUnit::Single));
+    let groups = groups.clamp(1, batchable.len().max(1));
+    for g in 0..groups {
+        let group: Vec<usize> = batchable.iter().copied().skip(g).step_by(groups).collect();
+        match group.as_slice() {
+            [ci] => units.push(WorkUnit::Single(*ci)),
+            [] => {}
+            _ => units.push(WorkUnit::Batched(group)),
+        }
     }
     units
+}
+
+/// Each task's share of a `threads`-worker pool, in lockstep groups: a
+/// single grid spreads its batched fits over every worker, while a batch
+/// with at least as many tasks as workers keeps one group per task.
+fn lockstep_groups(threads: usize, n_tasks: usize) -> usize {
+    threads.div_ceil(n_tasks.max(1))
 }
 
 /// Atomic minimum over non-negative f64s stored as bit patterns; delegates
@@ -626,7 +650,10 @@ struct TaskState {
 /// schedule and racing incumbent are all per-task, workers buffer results
 /// per task, and each report is merged and sorted exactly as in the
 /// single-grid path — so in exact mode each task's report is identical to
-/// evaluating it alone, at any thread count.
+/// evaluating it alone, at any thread count. Each task's batchable chains
+/// are split into `ceil(threads / tasks)` lockstep groups (see
+/// `build_units`), so a single grid spreads over the whole pool; the split
+/// moves wall time and lockstep counters, never scores.
 ///
 /// Returns one result per task, in task order. A task with no viable
 /// candidate yields `Err(NoViableModel)` without affecting its neighbours.
@@ -642,13 +669,14 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
         threads
     };
 
+    let groups = lockstep_groups(threads, tasks.len());
     let states: Vec<TaskState> = tasks
         .iter()
         .map(|task| {
             let cache = build_transform_cache(task);
             let rotations = build_rotation_cache(task);
             let chains = build_chains(task.candidates);
-            let units = build_units(task, &cache, &chains);
+            let units = build_units(task, &cache, &chains, groups);
             TaskState {
                 cache,
                 rotations,
@@ -1102,12 +1130,12 @@ fn run_chain_group(
         .collect();
     let mut scratch = kernels::CssBatchScratch::default();
     let mut css_out: Vec<f64> = Vec::new();
-    let mut staged: Vec<usize> = Vec::new();
     let mut css_ids: Vec<usize> = Vec::new();
     let mut ets_ids: Vec<usize> = Vec::new();
     let mut ets_sse: Vec<f64> = Vec::new();
     let mut tbats_ids: Vec<usize> = Vec::new();
     let mut tbats_sse: Vec<f64> = Vec::new();
+    let mut lane_ids: Vec<usize> = Vec::new();
     loop {
         // Phase A: bring every cursor to a pending optimiser point —
         // settle finished fits, open the next candidate, repeat (fits
@@ -1117,58 +1145,63 @@ fn run_chain_group(
             pump_group_cursor(cursor, task, rotations, best_rmse, out);
         }
         out.lockstep.advance += advance_started.elapsed();
+        // Stage every pending point, partitioning the staged cursors by
+        // family in the same pass (ids stay ascending).
         let round_started = Instant::now();
-        staged.clear();
+        css_ids.clear();
+        ets_ids.clear();
+        tbats_ids.clear();
         for (ci, cursor) in cursors.iter_mut().enumerate() {
             if let Some((_, session)) = cursor.active.as_mut() {
                 if session.stage_pending() {
-                    staged.push(ci);
+                    match session {
+                        FitSession::Arima(_) => css_ids.push(ci),
+                        FitSession::Ets(_) => ets_ids.push(ci),
+                        FitSession::Tbats(_) => tbats_ids.push(ci),
+                    }
                 }
             }
         }
-        if staged.is_empty() {
+        let staged = css_ids.len() + ets_ids.len() + tbats_ids.len();
+        if staged == 0 {
             return;
         }
-        let staged_at = Instant::now();
-        out.lockstep.stage += staged_at - round_started;
-        // Phase B: one batched kernel pass per family over all staged
-        // points, each candidate against its session's own series. The
-        // three passes live in separate borrow scopes: the CSS pass reads
-        // staged slices, the lane passes take mutable state windows.
-        css_ids.clear();
-        {
-            let mut cands: Vec<(&[f64], &[f64], &[f64])> = Vec::with_capacity(staged.len());
-            for &ci in staged.iter() {
+        let mut phase_at = Instant::now();
+        out.lockstep.stage += phase_at - round_started;
+        // Phase B: one batched kernel pass per family that staged a point,
+        // each candidate against its session's own series; a family with
+        // nothing staged is neither run nor timed. The passes live in
+        // separate borrow scopes: the CSS pass reads staged slices, the
+        // lane passes take mutable state windows.
+        css_out.clear();
+        if !css_ids.is_empty() {
+            let mut cands: Vec<(&[f64], &[f64], &[f64])> = Vec::with_capacity(css_ids.len());
+            for &ci in css_ids.iter() {
                 if let Some((_, FitSession::Arima(session))) =
                     cursors.get(ci).and_then(|c| c.active.as_ref())
                 {
                     cands.push((session.staged_phi(), session.staged_theta(), session.w()));
-                    css_ids.push(ci);
                 }
             }
-            css_out.clear();
-            if !cands.is_empty() {
-                kernels::css_batch(&cands, &mut scratch, &mut css_out);
-            }
+            kernels::css_batch(&cands, &mut scratch, &mut css_out);
+            let now = Instant::now();
+            out.lockstep.batch_css += now - phase_at;
+            phase_at = now;
         }
-        let css_at = Instant::now();
-        out.lockstep.batch_css += css_at - staged_at;
-        ets_ids.clear();
         ets_sse.clear();
-        {
-            let mut lanes: Vec<kernels::holt_winters::EtsLane<'_>> = Vec::new();
-            for (ci, cursor) in cursors.iter_mut().enumerate() {
-                if !staged.contains(&ci) {
-                    continue;
-                }
-                if let Some((_, FitSession::Ets(session))) = cursor.active.as_mut() {
-                    if let Some(lane) = session.staged_lane() {
-                        lanes.push(lane);
-                        ets_ids.push(ci);
+        if !ets_ids.is_empty() {
+            lane_ids.clear();
+            {
+                let mut lanes: Vec<kernels::holt_winters::EtsLane<'_>> =
+                    Vec::with_capacity(ets_ids.len());
+                for (ci, cursor) in cursors_at(&mut cursors, &ets_ids) {
+                    if let Some((_, FitSession::Ets(session))) = cursor.active.as_mut() {
+                        if let Some(lane) = session.staged_lane() {
+                            lanes.push(lane);
+                            lane_ids.push(ci);
+                        }
                     }
                 }
-            }
-            if !lanes.is_empty() {
                 kernels::ets_batch(&mut lanes);
                 ets_sse.extend(
                     lanes
@@ -1176,31 +1209,35 @@ fn run_chain_group(
                         .map(|l| l.result().sse.unwrap_or(f64::INFINITY)),
                 );
             }
+            // Only the cursors that produced a lane get a value back.
+            std::mem::swap(&mut ets_ids, &mut lane_ids);
+            let now = Instant::now();
+            out.lockstep.batch_ets += now - phase_at;
+            phase_at = now;
         }
-        let ets_at = Instant::now();
-        out.lockstep.batch_ets += ets_at - css_at;
-        tbats_ids.clear();
         tbats_sse.clear();
-        {
-            let mut lanes: Vec<kernels::tbats_filter::TbatsLane<'_>> = Vec::new();
-            for (ci, cursor) in cursors.iter_mut().enumerate() {
-                if !staged.contains(&ci) {
-                    continue;
-                }
-                if let Some((_, FitSession::Tbats(session))) = cursor.active.as_mut() {
-                    if let Some(lane) = session.staged_lane() {
-                        lanes.push(lane);
-                        tbats_ids.push(ci);
+        if !tbats_ids.is_empty() {
+            lane_ids.clear();
+            {
+                let mut lanes: Vec<kernels::tbats_filter::TbatsLane<'_>> =
+                    Vec::with_capacity(tbats_ids.len());
+                for (ci, cursor) in cursors_at(&mut cursors, &tbats_ids) {
+                    if let Some((_, FitSession::Tbats(session))) = cursor.active.as_mut() {
+                        if let Some(lane) = session.staged_lane() {
+                            lanes.push(lane);
+                            lane_ids.push(ci);
+                        }
                     }
                 }
-            }
-            if !lanes.is_empty() {
                 kernels::tbats_filter::run_batch(&mut lanes);
                 tbats_sse.extend(lanes.iter().map(|l| l.result().unwrap_or(f64::INFINITY)));
             }
+            std::mem::swap(&mut tbats_ids, &mut lane_ids);
+            let now = Instant::now();
+            out.lockstep.batch_tbats += now - phase_at;
+            phase_at = now;
         }
-        let batched_at = Instant::now();
-        out.lockstep.batch_tbats += batched_at - ets_at;
+        let batched_at = phase_at;
         // Phase C: feed each objective value back to its optimiser.
         for (j, &ci) in css_ids.iter().enumerate() {
             let Some(&css) = css_out.get(j) else {
@@ -1234,17 +1271,30 @@ fn run_chain_group(
         }
         out.lockstep.tell += batched_at.elapsed();
         out.lockstep.rounds += 1;
-        out.lockstep.batched_evals += staged.len();
+        out.lockstep.batched_evals += staged;
         // The round served every staged candidate at once; attribute its
         // wall time in equal shares (timing only — results don't depend
         // on this split).
-        let share = round_started.elapsed() / staged.len() as u32;
-        for &ci in staged.iter() {
+        let share = round_started.elapsed() / staged as u32;
+        for &ci in css_ids.iter().chain(&ets_ids).chain(&tbats_ids) {
             if let Some(cursor) = cursors.get_mut(ci) {
                 cursor.spent += share;
             }
         }
     }
+}
+
+/// The cursors at the ascending positions `ids`, found in one linear walk
+/// (the lane passes hold mutable borrows of several cursors at once).
+fn cursors_at<'a, 'c>(
+    cursors: &'a mut [GroupCursor<'c>],
+    ids: &'a [usize],
+) -> impl Iterator<Item = (usize, &'a mut GroupCursor<'c>)> {
+    let mut ids = ids.iter().peekable();
+    cursors
+        .iter_mut()
+        .enumerate()
+        .filter(move |(ci, _)| ids.next_if_eq(&ci).is_some())
 }
 
 /// Advance one lockstep cursor until it exposes a pending optimiser point
@@ -2067,15 +2117,31 @@ mod tests {
 
     #[test]
     fn mixed_family_batched_scores_identical_across_threads() {
-        // One task mixing all three families: the full score sheet — not
-        // just the champion — must be bit-identical at every thread count.
+        // One task mixing all three families, with both TBATS Box-Cox
+        // halves long enough to split into a full and a short chain: at
+        // 2+ threads the lockstep groups differ in width and family mix.
+        // The full score sheet — not just the champion — and the
+        // objective-evaluation count must be identical at every thread
+        // count.
         let y = seasonal_series(240);
         let (train, test) = y.split_at(216);
         let mut candidates = small_candidates();
         candidates.extend(ModelGrid::ets(12, true, 0.95).candidates);
-        let mut tbats = ModelGrid::tbats(&[12.0], None, 0.95).candidates;
-        tbats.truncate(4);
-        candidates.extend(tbats);
+        let tbats = ModelGrid::tbats(&[12.0], Some(0.5), 0.95).candidates;
+        let per_half = MAX_CHAIN_LEN + 1;
+        let (plain_half, boxcox_half): (Vec<_>, Vec<_>) = tbats
+            .into_iter()
+            .partition(|c| c.config.as_tbats().is_some_and(|t| t.lambda.is_none()));
+        candidates.extend(plain_half.into_iter().take(per_half));
+        candidates.extend(boxcox_half.into_iter().take(per_half));
+        let chains = build_chains(&candidates);
+        for boxcox in [false, true] {
+            let n = chains
+                .iter()
+                .filter(|c| chain_key(&candidates[c.indices[0]].config) == ChainKey::Tbats(boxcox))
+                .count();
+            assert!(n > 1, "Box-Cox={boxcox} half forms {n} chain(s)");
+        }
         let mut baseline: Option<EvaluationReport> = None;
         for threads in [1, 2, 4, 8] {
             let opts = EvaluationOptions {
@@ -2085,8 +2151,97 @@ mod tests {
             let report = evaluate_candidates(train, test, &[], &[], &candidates, &opts).unwrap();
             match &baseline {
                 None => baseline = Some(report),
-                Some(expected) => assert_reports_bitwise_equal(expected, &report),
+                Some(expected) => {
+                    assert_reports_bitwise_equal(expected, &report);
+                    assert_eq!(
+                        expected.stats.objective_evals, report.stats.objective_evals,
+                        "threads={threads}"
+                    );
+                }
             }
+        }
+    }
+
+    /// The lockstep units `evaluate_fleet` would queue for each of
+    /// `n_tasks` copies of one task on `threads` workers.
+    fn units_per_task(task: &EvalTask, n_tasks: usize, threads: usize) -> Vec<Vec<WorkUnit>> {
+        let cache = build_transform_cache(task);
+        let chains = build_chains(task.candidates);
+        let groups = lockstep_groups(threads, n_tasks);
+        (0..n_tasks)
+            .map(|_| build_units(task, &cache, &chains, groups))
+            .collect()
+    }
+
+    #[test]
+    fn lockstep_groups_follow_each_tasks_share_of_the_pool() {
+        let y = seasonal_series(240);
+        let (train, test) = y.split_at(216);
+        let mut candidates = small_candidates();
+        candidates.extend(ModelGrid::ets(12, true, 0.95).candidates);
+        candidates.extend(ModelGrid::tbats(&[12.0], None, 0.95).candidates);
+        let task = EvalTask {
+            train,
+            test,
+            exog_train: &[],
+            exog_test: &[],
+            candidates: &candidates,
+            opts: Default::default(),
+            seed: None,
+        };
+        let batched = |units: &[WorkUnit]| -> Vec<Vec<usize>> {
+            units
+                .iter()
+                .filter_map(|u| match u {
+                    WorkUnit::Batched(ids) => Some(ids.clone()),
+                    WorkUnit::Single(_) => None,
+                })
+                .collect()
+        };
+        // A single grid on two workers: one lockstep group per worker,
+        // dealt round-robin, covering every batchable chain once.
+        let single = units_per_task(&task, 1, 2);
+        let groups = batched(&single[0]);
+        assert!(groups.len() >= 2, "{} lockstep group(s)", groups.len());
+        let mut dealt: Vec<usize> = groups.concat();
+        dealt.sort_unstable();
+        let whole = batched(&units_per_task(&task, 2, 2)[0]);
+        assert_eq!(whole.len(), 1);
+        assert_eq!(dealt, whole[0]);
+        assert_eq!(groups[0].first(), whole[0].first());
+        assert_eq!(groups[1].first(), whole[0].get(1));
+        // The estate shape: at least as many tasks as workers keeps
+        // exactly one lockstep group per task.
+        for (n_tasks, threads) in [(2, 2), (4, 2), (1024, 2), (8, 8)] {
+            for units in units_per_task(&task, n_tasks, threads) {
+                assert_eq!(
+                    batched(&units).len(),
+                    1,
+                    "{n_tasks} tasks, {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn hes_only_grid_charges_no_css_or_tbats_time() {
+        // An ETS-only grid stages no CSS or TBATS point, so those kernel
+        // passes must neither run nor be timed.
+        let y = seasonal_series(240);
+        let (train, test) = y.split_at(216);
+        let grid = ModelGrid::ets(12, true, 0.95);
+        for threads in [1, 2] {
+            let opts = EvaluationOptions {
+                threads,
+                ..Default::default()
+            };
+            let report =
+                evaluate_candidates(train, test, &[], &[], &grid.candidates, &opts).unwrap();
+            let lockstep = &report.stats.lockstep;
+            assert!(lockstep.batched_evals > 0, "threads={threads}");
+            assert!(lockstep.batch_ets > Duration::ZERO, "threads={threads}");
+            assert_eq!(lockstep.batch_css, Duration::ZERO, "threads={threads}");
+            assert_eq!(lockstep.batch_tbats, Duration::ZERO, "threads={threads}");
         }
     }
 

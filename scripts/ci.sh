@@ -15,8 +15,10 @@
 #      in-binary, snapshot schema checked), then bench_grid
 #      perf-regression smoke: the accelerated 4-thread wall — pure-ARIMA
 #      sweep and the mixed-family auto-mode union grid — must stay within
-#      25% of the checked-in results/BENCH_grid.json (the run also
-#      re-asserts champion parity and the auto-order RMSE guard), then
+#      25% of the checked-in results/BENCH_grid.json, and on a host with
+#      nproc >= 2 the accelerated 2-thread wall must be below the 1-thread
+#      wall in both sections (the run also re-asserts champion parity and
+#      the auto-order RMSE guard), then
 #      bench_fleet smoke on the reduced (DWCP_QUICK=1) batch and a schema
 #      check of the written snapshots so downstream tooling can rely on
 #      their keys, then bench_estate smoke (reduced estate through the
@@ -165,6 +167,22 @@ limit = ref * 1.25
 print(f'auto-mode accelerated 4t: {new:.1f} ms vs reference {ref:.1f} ms (limit {limit:.1f} ms)')
 raise SystemExit(1 if new > limit else 0)" \
   || { echo "bench_grid: auto-mode accelerated wall regressed >25% vs reference"; exit 1; }
+# With a second core, a single grid's lockstep groups spread over the pool,
+# so the accelerated 2-thread wall must beat the 1-thread wall in both
+# sections; a regression back to one lockstep unit per grid fails here.
+if [ "$(nproc)" -ge 2 ]; then
+  python3 -c '
+import json
+snap = json.load(open("results/BENCH_grid.json"))
+bad = []
+for section in ("runs", "auto_mode"):
+    wall = {r["threads"]: r["wall_ms"] for r in snap[section] if r["mode"] == "accelerated"}
+    print(f"{section} accelerated: 1t {wall[1]:.1f} ms, 2t {wall[2]:.1f} ms")
+    if not wall[2] < wall[1]:
+        bad.append(section)
+raise SystemExit(1 if bad else 0)' \
+    || { echo "bench_grid: accelerated 2-thread wall not below 1-thread wall"; exit 1; }
+fi
 git checkout -- results/BENCH_grid.json 2>/dev/null || true
 
 echo "== bench smoke: bench_fleet (DWCP_QUICK=1) =="
